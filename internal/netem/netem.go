@@ -158,15 +158,6 @@ func (s *Shaper) Blackhole(d time.Duration) {
 	s.eachDir(func(ds *dirState) { ds.outageUntil = until })
 }
 
-// BlackholeDir opens (or, with d <= 0, clears) an outage window in one
-// direction only — the asymmetric partition where requests still arrive but
-// responses vanish, or vice versa.
-func (s *Shaper) BlackholeDir(dir Dir, d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirs[dir].outageUntil = windowUntil(d)
-}
-
 func windowUntil(d time.Duration) time.Time {
 	if d <= 0 {
 		return time.Time{}
@@ -435,7 +426,7 @@ func Pipe(bandwidthMbps float64, delay time.Duration) (*Conn, *Conn) {
 
 // PipeShaper is Pipe exposing the single Shaper both endpoints share: the
 // first endpoint writes Upstream, the second Downstream, so the caller can
-// degrade one direction (BlackholeDir, SetStallLarge, ...) while the other
+// degrade one direction (SetDelayDir, SetStallLarge, ...) while the other
 // stays healthy — the in-memory form of an asymmetric partition.
 func PipeShaper(bandwidthMbps float64, delay time.Duration) (*Conn, *Conn, *Shaper) {
 	a, b := net.Pipe()

@@ -630,15 +630,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Budget guard: the request cannot finish in time, so refuse it
 			// with a typed error instead of executing into a silent late
 			// reply. The cost estimate is only ever built from observed runs,
-			// so the first call of a method is never refused. beginCall above
-			// registered the request, so it must be retired here.
+			// so the first call of a method is never refused.
 			status = statusBudget
 			resp = []byte(fmt.Sprintf("estimated cost %v exceeds remaining budget %v",
 				s.estimatedCost(method).Round(time.Microsecond), budget))
-			s.endCall()
 		default:
 			status, resp = s.invoke(method, h, payload)
-			s.endCall()
 		}
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
@@ -646,6 +643,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		err = writeResponse(w, status, resp, respChecksum)
 		if err == nil {
 			err = w.Flush()
+		}
+		if ok {
+			// A call registered by beginCall retires only once its reply
+			// was flushed (or failed to land): retiring it earlier lets
+			// Shutdown see zero in flight and close the connection under
+			// the unsent response.
+			s.endCall()
 		}
 		if err != nil {
 			if isTimeout(err) {

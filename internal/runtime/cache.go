@@ -241,8 +241,8 @@ func (c *StrategyCache) Put(ct env.Constraint, d *env.Decision) {
 // least one tile on placement device dev (>= 1; device 0 is local and never
 // invalidated) by bumping the device's epoch — O(1) regardless of cache
 // size; the stranded entries are removed lazily as lookups (or capacity
-// evictions) encounter them. The cluster layer calls this on a Down event
-// so stale placements cannot keep failing requests on a dead device.
+// evictions) encounter them. Runtime.SetDeviceOut calls this when a device
+// leaves placement, so stale placements cannot keep failing requests on it.
 func (c *StrategyCache) InvalidateDevice(dev int) {
 	if dev <= 0 {
 		return

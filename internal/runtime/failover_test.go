@@ -133,7 +133,7 @@ func TestSetDeviceHealthDegradesConstraint(t *testing.T) {
 		t.Fatalf("healthy bandwidth %v, want 100", got)
 	}
 
-	if err := rt.SetDeviceHealth(0, false); err != nil {
+	if err := rt.SetDeviceOut(0, OutDown, true); err != nil {
 		t.Fatal(err)
 	}
 	c := rt.Constraint()
@@ -149,7 +149,7 @@ func TestSetDeviceHealthDegradesConstraint(t *testing.T) {
 	}
 
 	// Recovery restores the live link view and the original cache bucket.
-	if err := rt.SetDeviceHealth(0, true); err != nil {
+	if err := rt.SetDeviceOut(0, OutDown, false); err != nil {
 		t.Fatal(err)
 	}
 	if rt.StrategyKeyFor(rt.SLO()) != healthyKey {
@@ -157,10 +157,10 @@ func TestSetDeviceHealthDegradesConstraint(t *testing.T) {
 	}
 
 	// Bounds checking mirrors SetLinkState.
-	if err := rt.SetDeviceHealth(5, false); err == nil {
+	if err := rt.SetDeviceOut(5, OutDown, true); err == nil {
 		t.Fatal("out-of-range device index accepted")
 	}
-	if err := rt.SetDeviceHealth(-1, false); err == nil {
+	if err := rt.SetDeviceOut(-1, OutDown, true); err == nil {
 		t.Fatal("negative device index accepted")
 	}
 }
@@ -202,7 +202,7 @@ func TestResolveSanitizesPlacement(t *testing.T) {
 	// Unhealthy: even though the decider still says device 1, the resolved
 	// placement must not reference it — and the decider's decision object
 	// must not be mutated (cached decisions are shared).
-	rt.SetDeviceHealth(0, false)
+	rt.SetDeviceOut(0, OutDown, true)
 	orig := remote()
 	res, err = rt.ResolveFor(rt.SLO())
 	if err != nil {

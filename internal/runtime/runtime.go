@@ -13,15 +13,36 @@ import (
 	"murmuration/internal/tensor"
 )
 
-// Link parameters substituted for a device that is marked unhealthy. The
+// Link parameters substituted for a device that is out of placement. The
 // near-zero bandwidth and huge delay make any placement that uses the device
 // so expensive that the decider routes around it, and they land in a
-// different cache bucket than the device's healthy link state, so pre-failure
+// different cache bucket than the device's live link state, so pre-failure
 // strategies are never served from cache while the device is out.
 const (
 	downBandwidthMbps = 0.01
 	downDelayMs       = 1e6
 )
+
+// OutReason is a set of reasons a remote device is out of placement. While
+// any reason is set the device is presented to the decider as a dead link,
+// stripped from resolved placements, and skipped as a hedge alternate.
+type OutReason uint8
+
+const (
+	// OutDown: the failure detector or the data path lost the device.
+	OutDown OutReason = 1 << iota
+	// OutQuarantined: the gray-failure tracker excluded a live device. Its
+	// connections stay up for probes, and cluster Up/Down never clears it.
+	OutQuarantined
+)
+
+// device is one remote device's eligibility record: why it is out of
+// placement, if it is, and the manual link estimate (SetLinkState) used
+// while no monitor has samples.
+type device struct {
+	out  OutReason
+	link monitor.Sample
+}
 
 // Decider produces a decision for a constraint — in production this is the
 // trained SUPREME policy's greedy decode; tests and baselines can plug in
@@ -96,18 +117,14 @@ type Runtime struct {
 	// far ahead instead of the current estimate (precompute support).
 	PredictAhead time.Duration
 
-	mu         sync.Mutex
-	slo        SLO
-	manualLink []monitor.Sample // fallback when Monitors are absent
-	// healthy[i] tracks remote device i+1; unhealthy devices get degraded
-	// constraints and are stripped from placements until they recover.
-	healthy []bool
-	// quarantined[i] is the health layer's gray-failure mask for remote
-	// device i+1. It composes with healthy: a quarantined device is excluded
-	// from placement and hedging exactly like a down one, but its
-	// connections stay up so synthetic probes (and eventual reintegration)
-	// need no re-dial.
-	quarantined []bool
+	mu  sync.Mutex
+	slo SLO
+
+	// devices is the published record snapshot, index i for remote device
+	// i+1. Readers load it without locking and never mutate it; writers
+	// copy it on write under devMu and publish the copy.
+	devices atomic.Pointer[[]device]
+	devMu   sync.Mutex
 
 	// Resolution singleflight: concurrent cache misses for the same strategy
 	// key collapse into one decider call whose result every waiter shares.
@@ -133,23 +150,14 @@ type sfCall struct {
 	err  error
 }
 
-// New creates a runtime. All remote devices start healthy.
+// New creates a runtime. All remote devices start in placement.
 func New(s *Scheduler, d Decider, cache *StrategyCache, monitors []*monitor.LinkMonitor) *Runtime {
-	healthy := make([]bool, len(s.Remotes))
-	for i := range healthy {
-		healthy[i] = true
-	}
-	r := &Runtime{
-		Scheduler:   s,
-		Cache:       cache,
-		Monitors:    monitors,
-		manualLink:  make([]monitor.Sample, len(s.Remotes)),
-		healthy:     healthy,
-		quarantined: make([]bool, len(s.Remotes)),
-	}
+	r := &Runtime{Scheduler: s, Cache: cache, Monitors: monitors}
+	devs := make([]device, len(s.Remotes))
+	r.devices.Store(&devs)
 	r.decider.Store(&deciderBox{d: d})
 	// Wire the scheduler's hedged-RPC alternate-device choice to the
-	// runtime's health mask and link estimates, unless the caller already
+	// runtime's device records and link estimates, unless the caller already
 	// installed its own policy.
 	if s.PickAlternate == nil {
 		s.PickAlternate = r.AlternateFor
@@ -193,79 +201,81 @@ func (r *Runtime) InvalidateStrategies() int {
 	return r.Cache.Clear()
 }
 
-// AlternateFor picks the healthy remote device a hedged tile RPC should be
-// retried on: the lowest-delay healthy device other than the primary, or 0
-// when no such device exists (hedging is then skipped).
+// AlternateFor picks the remote device a hedged tile RPC should be retried
+// on: the lowest-delay in-placement device other than the primary, or 0 when
+// no such device exists (hedging is then skipped).
 func (r *Runtime) AlternateFor(primary int) int {
-	r.mu.Lock()
-	healthy := append([]bool(nil), r.healthy...)
-	quarantined := append([]bool(nil), r.quarantined...)
-	manual := append([]monitor.Sample(nil), r.manualLink...)
-	r.mu.Unlock()
-
 	best, bestDelay := 0, math.Inf(1)
-	for i := range r.Scheduler.Remotes {
-		dev := i + 1
-		if dev == primary || (i < len(healthy) && !healthy[i]) ||
-			(i < len(quarantined) && quarantined[i]) {
-			continue
-		}
-		var s monitor.Sample
-		if i < len(r.Monitors) && r.Monitors[i] != nil && r.Monitors[i].Samples() > 0 {
-			s = r.Monitors[i].Current()
-		} else if i < len(manual) {
-			s = manual[i]
-		}
-		if best == 0 || s.DelayMs < bestDelay {
-			best, bestDelay = dev, s.DelayMs
+	for i, d := range *r.devices.Load() {
+		if dev := i + 1; dev != primary && d.out == 0 {
+			if s := r.link(i, d, 0); best == 0 || s.DelayMs < bestDelay {
+				best, bestDelay = dev, s.DelayMs
+			}
 		}
 	}
 	return best
 }
 
-// SetDeviceHealth marks remote device i+1 (0-based remote index i) healthy or
-// unhealthy. While unhealthy, constraints report the device's link as
-// effectively dead and resolved placements never assign tiles to it.
-func (r *Runtime) SetDeviceHealth(i int, up bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.healthy) {
+// link returns remote device i's link estimate: its monitor's (forecast
+// ahead when ahead > 0) once the monitor has samples, else the manual one.
+func (r *Runtime) link(i int, d device, ahead time.Duration) monitor.Sample {
+	if i >= len(r.Monitors) || r.Monitors[i] == nil || r.Monitors[i].Samples() == 0 {
+		return d.link
+	}
+	if ahead > 0 {
+		return r.Monitors[i].Predict(ahead)
+	}
+	return r.Monitors[i].Current()
+}
+
+// SetDeviceOut sets (out) or clears reason why on remote device i+1's
+// record (0-based remote index i). The device is out of placement while any
+// reason is set, so a quarantined device stays out through a cluster Up. A
+// write that takes the device out of placement also strands its cached
+// strategies (StrategyCache.InvalidateDevice) before it returns.
+func (r *Runtime) SetDeviceOut(i int, why OutReason, out bool) error {
+	return r.writeDevice(i, func(d *device) {
+		if out {
+			d.out |= why
+		} else {
+			d.out &^= why
+		}
+	})
+}
+
+// writeDevice applies f to remote device i's entry in a copy of the record
+// snapshot and publishes the copy.
+func (r *Runtime) writeDevice(i int, f func(*device)) error {
+	r.devMu.Lock()
+	defer r.devMu.Unlock()
+	cur := *r.devices.Load()
+	if i < 0 || i >= len(cur) {
 		return fmt.Errorf("runtime: device index %d out of range", i)
 	}
-	r.healthy[i] = up
+	next := append([]device(nil), cur...)
+	f(&next[i])
+	r.devices.Store(&next)
+	if cur[i].out == 0 && next[i].out != 0 && r.Cache != nil {
+		r.Cache.InvalidateDevice(i + 1)
+	}
 	return nil
 }
 
-// HealthyDevices returns a copy of the remote health mask (index i is remote
-// device i+1).
-func (r *Runtime) HealthyDevices() []bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]bool(nil), r.healthy...)
-}
+// HealthyDevices reports, per remote device (index i is device i+1),
+// whether it is not down. It is a derived view of the device records.
+func (r *Runtime) HealthyDevices() []bool { return r.outView(OutDown, false) }
 
-// SetDeviceQuarantined marks remote device i+1 quarantined or not. The
-// quarantine mask composes with the health mask: while either is set the
-// device is presented to the decider as a dead link, sanitization strips it
-// from placements, and hedging skips it — but unlike SetDeviceHealth(false),
-// quarantine is the gray-failure layer's verdict, so the cluster detector's
-// Up/Down reports never clear it.
-func (r *Runtime) SetDeviceQuarantined(i int, q bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.quarantined) {
-		return fmt.Errorf("runtime: device index %d out of range", i)
+// QuarantinedDevices reports, per remote device, whether it is quarantined.
+// It is a derived view of the device records.
+func (r *Runtime) QuarantinedDevices() []bool { return r.outView(OutQuarantined, true) }
+
+func (r *Runtime) outView(why OutReason, set bool) []bool {
+	devs := *r.devices.Load()
+	v := make([]bool, len(devs))
+	for i, d := range devs {
+		v[i] = (d.out&why != 0) == set
 	}
-	r.quarantined[i] = q
-	return nil
-}
-
-// QuarantinedDevices returns a copy of the quarantine mask (index i is
-// remote device i+1).
-func (r *Runtime) QuarantinedDevices() []bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]bool(nil), r.quarantined...)
+	return v
 }
 
 // SetSLO sets the active objective.
@@ -285,13 +295,8 @@ func (r *Runtime) SLO() SLO {
 // SetLinkState manually sets the link estimate for remote device i+1 (used
 // when no active monitor runs, e.g. in simulations and tests).
 func (r *Runtime) SetLinkState(i int, bandwidthMbps, delayMs float64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.manualLink) {
-		return fmt.Errorf("runtime: link index %d out of range", i)
-	}
-	r.manualLink[i] = monitor.Sample{At: time.Now(), BandwidthMbps: bandwidthMbps, DelayMs: delayMs}
-	return nil
+	s := monitor.Sample{At: time.Now(), BandwidthMbps: bandwidthMbps, DelayMs: delayMs}
+	return r.writeDevice(i, func(d *device) { d.link = s })
 }
 
 // Constraint assembles the current (goal, task) pair from the SLO and the
@@ -304,53 +309,35 @@ func (r *Runtime) Constraint() env.Constraint {
 // freshest link state. The serving layer uses it to resolve strategies for
 // per-request SLOs without mutating the runtime's global objective.
 func (r *Runtime) ConstraintFor(slo SLO) env.Constraint {
-	r.mu.Lock()
-	manual := append([]monitor.Sample(nil), r.manualLink...)
-	healthy := append([]bool(nil), r.healthy...)
-	quarantined := append([]bool(nil), r.quarantined...)
-	r.mu.Unlock()
-
-	c := env.Constraint{Type: slo.Type}
+	devs := *r.devices.Load()
+	c := env.Constraint{Type: slo.Type,
+		BandwidthMbps: make([]float64, len(devs)), DelayMs: make([]float64, len(devs))}
 	if slo.Type == env.LatencySLO {
 		c.LatencyMs = slo.Value
 	} else {
 		c.AccuracyPct = slo.Value
 	}
-	for i := 0; i < len(r.Scheduler.Remotes); i++ {
-		var s monitor.Sample
-		switch {
-		case (i < len(healthy) && !healthy[i]) || (i < len(quarantined) && quarantined[i]):
-			// Down or quarantined device: present a dead link so the decider
-			// avoids it and the cache keys this regime separately.
-			s = monitor.Sample{BandwidthMbps: downBandwidthMbps, DelayMs: downDelayMs}
-		case i < len(r.Monitors) && r.Monitors[i] != nil && r.Monitors[i].Samples() > 0:
-			if r.PredictAhead > 0 {
-				s = r.Monitors[i].Predict(r.PredictAhead)
-			} else {
-				s = r.Monitors[i].Current()
-			}
-		default:
-			s = manual[i]
+	for i, d := range devs {
+		// An out-of-placement device presents a dead link, so the decider
+		// avoids it and the cache keys this regime separately.
+		s := monitor.Sample{BandwidthMbps: downBandwidthMbps, DelayMs: downDelayMs}
+		if d.out == 0 {
+			s = r.link(i, d, r.PredictAhead)
 		}
-		c.BandwidthMbps = append(c.BandwidthMbps, s.BandwidthMbps)
-		c.DelayMs = append(c.DelayMs, s.DelayMs)
+		c.BandwidthMbps[i], c.DelayMs[i] = s.BandwidthMbps, s.DelayMs
 	}
 	return c
 }
 
-// sanitizeDecision returns a decision whose placement assigns no tile to an
-// unhealthy or quarantined device, remapping stray tiles to device 0 (local). It is the hard
-// guarantee behind constraint degradation: even if the decider or a cached
-// entry still points at a lost device, execution never will. The input is not
-// mutated — cached decisions are shared.
+// sanitizeDecision returns a decision whose placement assigns no tile to a
+// device out of placement, remapping stray tiles to device 0 (local). It is
+// the hard guarantee behind constraint degradation: even if the decider or a
+// cached entry still points at a lost device, execution never will. The
+// input is not mutated — cached decisions are shared.
 func (r *Runtime) sanitizeDecision(d *env.Decision) *env.Decision {
-	r.mu.Lock()
-	healthy := append([]bool(nil), r.healthy...)
-	quarantined := append([]bool(nil), r.quarantined...)
-	r.mu.Unlock()
-
+	devs := *r.devices.Load()
 	bad := func(dev int) bool {
-		return dev > 0 && (dev-1 >= len(healthy) || !healthy[dev-1] || quarantined[dev-1])
+		return dev > 0 && (dev-1 >= len(devs) || devs[dev-1].out != 0)
 	}
 	dirty := false
 	if d != nil && d.Placement != nil {

@@ -67,7 +67,7 @@ type Scheduler struct {
 	RetryBudget *limit.Budget
 	// PickAlternate returns the placement device (>= 1) a hedged attempt
 	// should go to, or 0 when no healthy alternate exists. The runtime wires
-	// this to its device-health mask and the monitors' delay estimates.
+	// this to its device records and the monitors' delay estimates.
 	PickAlternate func(primary int) int
 
 	// Gate, when non-nil, is consulted before every remote dispatch —

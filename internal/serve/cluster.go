@@ -15,17 +15,42 @@ import (
 // requests and — crucially — is the only path that reintegrates a device once
 // its heartbeats resume.
 
-// noteDeviceError reacts to a device-attributed batch failure: demote the
-// device in the runtime's health mask so the failover re-resolve avoids it,
-// drop every cached strategy placing work there, and feed the observation to
-// the failure detector so proactive probing converges faster.
+// deviceOut and deviceIn are the one funnel for device eligibility: every
+// path that takes a device out of placement or returns it goes through them,
+// and they own the side effects. The runtime write strands the device's
+// cached strategies on the way out; on the way back from Down the AIMD limit
+// and panic streak learned against the failed device are reset. Either way
+// batch cost changed regime, so the wait estimates reset and one async
+// rewarm re-primes the cache — once per call, however many members moved.
+// Call sites keep only their own policy (damper hold, stagger delay,
+// fence-first restart, stall attribution).
+func (g *Gateway) deviceOut(why runtime.OutReason, members ...int) {
+	for _, i := range members {
+		g.rt.SetDeviceOut(i, why, true)
+	}
+	g.ResetWaitEstimates()
+	g.rewarmAsync()
+}
+
+// deviceIn clears reason why for member. Leaving quarantine only starts the
+// reintegration ramp at reduced weight, so the limiter keeps its cut until
+// the ramp completes, which calls deviceIn with no reason to clear.
+func (g *Gateway) deviceIn(why runtime.OutReason, member int) {
+	g.rt.SetDeviceOut(member, why, false)
+	if why != runtime.OutQuarantined {
+		g.rt.Scheduler.ResetDevice(member + 1)
+	}
+	g.ResetWaitEstimates()
+	g.rewarmAsync()
+}
+
+// noteDeviceError reacts to a device-attributed batch failure: take the
+// device out of placement so the failover re-resolve avoids it, and feed the
+// observation to the failure detector so proactive probing converges faster.
 func (g *Gateway) noteDeviceError(de *runtime.DeviceError) {
 	// Placement device d >= 1 is remote index d-1 (cluster member d-1).
 	idx := de.Device - 1
-	g.rt.SetDeviceHealth(idx, false)
-	if g.rt.Cache != nil {
-		g.rt.Cache.InvalidateDevice(de.Device)
-	}
+	g.deviceOut(runtime.OutDown, idx)
 	g.mu.Lock()
 	m := g.cluster
 	hook := g.opts.OnDeviceError
@@ -33,9 +58,6 @@ func (g *Gateway) noteDeviceError(de *runtime.DeviceError) {
 	if m != nil {
 		m.ReportFailure(idx)
 	}
-	// Batch cost just changed regime (the placement lost a device); a wait
-	// estimate learned before the demotion would mis-admit until it decayed.
-	g.ResetWaitEstimates()
 	if hook != nil {
 		hook(de.Device, de.Err)
 	}
@@ -66,16 +88,16 @@ func (g *Gateway) AttachCluster(m *cluster.Manager) {
 }
 
 // handleClusterBatch applies one coalesced batch of cluster transitions.
-// Per-device work (health mask, SLI ledger, O(1) cache epoch bump, damper)
-// still runs per event; the batch-amplified work — wait-estimate resets and
-// strategy rewarms — runs once per batch. Mass reinstatements are staggered:
+// Per-device policy (SLI ledger, damper, correlated-loss detector) runs per
+// event; all Downs leave placement in one deviceOut call, so the batch costs
+// one wait-estimate reset and one rewarm. Mass reinstatements are staggered:
 // the first device rejoins immediately, device i after i stagger periods
 // (storm.go), so returning capacity ramps instead of slamming.
 func (g *Gateway) handleClusterBatch(evs []cluster.Event) {
 	g.mu.Lock()
 	tr, dmp := g.health, g.damper
 	g.mu.Unlock()
-	downs := 0
+	var downs []int
 	var ups []cluster.Event
 	for _, ev := range evs {
 		if ev.Restart {
@@ -92,11 +114,7 @@ func (g *Gateway) handleClusterBatch(evs []cluster.Event) {
 			if tr != nil {
 				tr.SetUp(ev.Member, false)
 			}
-			g.rt.SetDeviceHealth(ev.Member, false)
-			if g.rt.Cache != nil {
-				g.rt.Cache.InvalidateDevice(ev.Member + 1)
-			}
-			downs++
+			downs = append(downs, ev.Member)
 			g.noteDown(ev.At)
 		case cluster.Up:
 			if tr != nil {
@@ -125,16 +143,13 @@ func (g *Gateway) handleClusterBatch(evs []cluster.Event) {
 			// demotes it immediately if a request actually fails there.
 		}
 	}
-	if downs > 0 {
-		g.ResetWaitEstimates()
-		g.rewarmAsync()
+	if len(downs) > 0 {
+		g.deviceOut(runtime.OutDown, downs...)
 	}
 	if len(ups) > 0 {
 		// The first recovered device reinstates now (a lone recovery behaves
 		// exactly as before); the rest of a mass recovery is staggered.
-		g.reinstate(ups[0].Member)
-		g.ResetWaitEstimates()
-		g.rewarmAsync()
+		g.deviceIn(runtime.OutDown, ups[0].Member)
 		for i, ev := range ups[1:] {
 			g.staggerReinstate(ev.Member, time.Duration(i+1)*g.opts.ReintegrationStagger)
 		}
@@ -157,10 +172,7 @@ func (g *Gateway) handleRestart(ev cluster.Event) {
 	}
 	// 2. Demote while reconfiguring: strategies placing work there are stale
 	// (the new process has cold caches and possibly different capabilities).
-	g.rt.SetDeviceHealth(ev.Member, false)
-	if g.rt.Cache != nil {
-		g.rt.Cache.InvalidateDevice(dev)
-	}
+	g.deviceOut(runtime.OutDown, ev.Member)
 	// 3. The data connection may still terminate at the dead process's socket
 	// (a zombie that keeps its listener): poison it so the next dispatch
 	// re-dials — and re-handshakes — to the live incarnation. Asynchronous
@@ -169,28 +181,17 @@ func (g *Gateway) handleRestart(ev cluster.Event) {
 	if ev.Member >= 0 && ev.Member < len(sched.Remotes) && sched.Remotes[ev.Member] != nil {
 		go sched.Remotes[ev.Member].ForceRedial()
 	}
-	// 4. Adaptive state learned against the old process does not transfer.
-	sched.ResetDevice(dev)
 	g.mu.Lock()
 	g.stats.Restarts++
 	hook := g.opts.OnRestart
 	g.mu.Unlock()
-	// 5. Re-negotiate capabilities (link probe, monitor refresh) before the
+	// 4. Re-negotiate capabilities (link probe, monitor refresh) before the
 	// device takes traffic again.
 	if hook != nil {
 		hook(dev, ev.Incarnation)
 	}
-	// 6. Reinstate and rewarm: the new incarnation serves from here on.
-	g.rt.SetDeviceHealth(ev.Member, true)
-	g.ResetWaitEstimates()
-	g.rewarm()
-}
-
-// rewarm re-resolves the strategy for the gateway's global SLO under the
-// current health mask, priming the cache after a topology change. Errors are
-// deliberately ignored — the next request resolves (and surfaces) them.
-func (g *Gateway) rewarm() {
-	if slo := g.rt.SLO(); slo.Value > 0 {
-		g.rt.ResolveFor(slo)
-	}
+	// 5. Reinstate: the new incarnation serves from here on, with adaptive
+	// state reset — what was learned against the old process does not
+	// transfer.
+	g.deviceIn(runtime.OutDown, ev.Member)
 }

@@ -22,10 +22,10 @@ import (
 //     call's (device, latency, error) into the tracker's SLI ledger, and the
 //     scheduler's Gate consults the tracker before every dispatch so a
 //     quarantined or ramping device takes only the traffic its state allows.
-//   - Verdicts: tracker transitions drive the runtime's quarantine mask
-//     (placement exclusion without connection teardown), cache invalidation,
-//     wait-estimate resets, and — on completed reintegration — an AIMD
-//     limiter reset.
+//   - Verdicts: tracker transitions set and clear the quarantine reason on
+//     the runtime's device record (placement exclusion without connection
+//     teardown) through the eligibility funnel (cluster.go), which also
+//     resets the AIMD limiter once reintegration completes.
 //   - Time: a tick-loop goroutine rolls the tracker's windows, probes
 //     quarantined devices with synthetic inferences so their ledgers stay
 //     fed, and releases flap-suppressed devices once the damper's penalty
@@ -148,16 +148,11 @@ func (g *Gateway) observeTile(tr *health.Tracker, dev int, elapsed time.Duration
 }
 
 // onHealthTransition applies a tracker verdict to the serving plane.
+// Probation, and a return from it, keep full traffic: no serving-plane change.
 func (g *Gateway) onHealthTransition(tr health.Transition) {
 	i := tr.Device
-	switch tr.To {
-	case health.Quarantined:
-		// Exclude from placement like Down — but without touching the
-		// cluster detector or the connections, which stay warm for probes.
-		g.rt.SetDeviceQuarantined(i, true)
-		if g.rt.Cache != nil {
-			g.rt.Cache.InvalidateDevice(i + 1)
-		}
+	switch {
+	case tr.To == health.Quarantined:
 		// Attribution: if stall evidence accrued since the last quarantine,
 		// this is the asymmetric-partition signature — the device stayed Up
 		// on the liveness detector while its bulk transfers wedged.
@@ -167,23 +162,18 @@ func (g *Gateway) onHealthTransition(tr health.Transition) {
 			g.stallEvidence[i] = 0
 		}
 		g.mu.Unlock()
-	case health.Reintegrating:
+		// Exclude from placement like Down — but without touching the
+		// cluster detector or the connections, which stay warm for probes.
+		g.deviceOut(runtime.OutQuarantined, i)
+	case tr.To == health.Reintegrating:
 		// Placement-eligible again; the scheduler's Gate admits only the
 		// ramp fraction, redirecting the rest to local execution.
-		g.rt.SetDeviceQuarantined(i, false)
-	case health.Active:
-		if tr.From == health.Reintegrating {
-			// Ramp complete: the AIMD limit and panic streak learned against
-			// the sick incarnation must not throttle the recovered one.
-			g.rt.Scheduler.ResetDevice(i + 1)
-		}
-	default:
-		// Probation: full traffic continues, no serving-plane change.
-		return
+		g.deviceIn(runtime.OutQuarantined, i)
+	case tr.To == health.Active && tr.From == health.Reintegrating:
+		// Ramp complete: the AIMD limit and panic streak learned against
+		// the sick incarnation must not throttle the recovered one.
+		g.deviceIn(0, i)
 	}
-	// Every serving-plane change above shifts batch-cost regime.
-	g.ResetWaitEstimates()
-	g.rewarm()
 }
 
 // healthLoop is the tick-loop goroutine: it drives the tracker's window
@@ -219,21 +209,14 @@ func (g *Gateway) damperSweep(now time.Time) {
 		if !h || dmp.Suppressed(i, now) {
 			continue
 		}
-		if m != nil && m.StateOf(i) != cluster.Up {
-			// Released from damping but genuinely down: leave it to the
-			// detector's next Up event (which now passes the damper).
-			g.mu.Lock()
-			g.suppressHeld[i] = false
-			g.mu.Unlock()
-			continue
-		}
 		g.mu.Lock()
 		g.suppressHeld[i] = false
 		g.mu.Unlock()
-		g.rt.SetDeviceHealth(i, true)
-		g.rt.Scheduler.ResetDevice(i + 1)
-		g.ResetWaitEstimates()
-		g.rewarm()
+		// A device released from damping but genuinely down is left to the
+		// detector's next Up event (which now passes the damper).
+		if m == nil || m.StateOf(i) == cluster.Up {
+			g.deviceIn(runtime.OutDown, i)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@
 package serve_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -170,5 +171,292 @@ func TestReintegrationResetsLimiter(t *testing.T) {
 	}
 	if c := tr.Counters(); c.Reintegrations != 1 {
 		t.Fatalf("counters %+v, want exactly one completed reintegration", c)
+	}
+}
+
+// transitionHarness drives one resetGateway through eligibility transitions
+// of remote device 1 (cluster member 0) and, where a row needs it, device 2.
+type transitionHarness struct {
+	t   *testing.T
+	g   *serve.Gateway
+	rt  *runtime.Runtime
+	m   *cluster.Manager
+	tr  *health.Tracker
+	now time.Time // the tracker's synthetic clock (rows that own it)
+
+	waits, rewarms uint64 // TransitionCosts at the last settle
+}
+
+func (h *transitionHarness) waitFor(desc string, cond func() bool) {
+	h.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			h.t.Fatalf("timed out waiting for %s", desc)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// settle waits for the transition just driven to cost exactly waits
+// wait-estimate resets and rewarms rewarm requests, then checks that
+// nothing more trickles in.
+func (h *transitionHarness) settle(waits, rewarms uint64) {
+	h.t.Helper()
+	wantW, wantR := h.waits+waits, h.rewarms+rewarms
+	h.waitFor("transition costs", func() bool {
+		w, r := h.g.TransitionCosts()
+		return w >= wantW && r >= wantR
+	})
+	time.Sleep(30 * time.Millisecond) // longer than the rewarm jitter
+	if w, r := h.g.TransitionCosts(); w != wantW || r != wantR {
+		h.t.Fatalf("transition cost %d wait resets / %d rewarms, want %d / %d",
+			w-h.waits, r-h.rewarms, waits, rewarms)
+	}
+	h.waits, h.rewarms = wantW, wantR
+}
+
+// window feeds member 0 one tracker window of failures (gray) or successes
+// against a clean member 1, then rolls the window.
+func (h *transitionHarness) window(gray bool) {
+	for k := 0; k < 4; k++ {
+		if gray {
+			h.tr.ObserveFailure(0, h.now)
+		} else {
+			h.tr.ObserveOK(0, time.Millisecond, h.now)
+		}
+		h.tr.ObserveOK(1, time.Millisecond, h.now)
+	}
+	h.now = h.now.Add(50 * time.Millisecond)
+	h.tr.Tick(h.now)
+}
+
+// held drives a cluster Up of member 0 that the flap damper refuses.
+func (h *transitionHarness) held() {
+	before := h.g.Stats().FlapSuppressed
+	h.m.ReportSuccess(0, time.Millisecond)
+	h.waitFor("damper suppression", func() bool { return h.g.Stats().FlapSuppressed > before })
+}
+
+// inPlacement reports whether placement device dev is eligible in each of
+// the runtime's three readers: the decider's constraint, the sanitized
+// placement of a resolved strategy, and the hedge-alternate choice.
+func (h *transitionHarness) inPlacement(dev int) (constraint, placement, alternate bool) {
+	h.t.Helper()
+	slo := chaosLatSLO(100)
+	constraint = h.rt.ConstraintFor(slo).BandwidthMbps[dev-1] > 1
+	res, err := h.rt.ResolveFor(slo)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	for _, layer := range res.Decision.Placement.Devices {
+		for _, d := range layer {
+			placement = placement || d == dev
+		}
+	}
+	alternate = h.rt.AlternateFor(3-dev) == dev
+	return constraint, placement, alternate
+}
+
+// TestEligibilityTransitions is the behaviour table of the gateway's device
+// eligibility funnel. For every entry path that moves a device out of or
+// back into placement it pins the runtime views (down, quarantined, and
+// eligibility in constraints, placements and hedge alternates), the cache
+// invalidation epochs bumped, whether each device's AIMD limiter was reset,
+// and the wait-estimate resets and rewarms the transition cost.
+func TestEligibilityTransitions(t *testing.T) {
+	type want struct {
+		healthy, quarantined [2]bool
+		epochs               uint64
+		limiterReset         [2]bool
+		waits, rewarms       uint64
+	}
+	down := func(members ...int) func(h *transitionHarness) {
+		return func(h *transitionHarness) { h.m.MarkDownBatch(members) }
+	}
+	quarantine := func(h *transitionHarness) {
+		h.window(true) // Active -> Probation: full traffic, no serving-plane change
+		h.window(true) // Probation -> Quarantined
+	}
+	// Setup steps settle at their own cost, which the rows below pin.
+	then := func(steps ...func(h *transitionHarness)) func(h *transitionHarness) {
+		return func(h *transitionHarness) {
+			for _, step := range steps {
+				before := h.g.Stats().FlapSuppressed
+				step(h)
+				if h.g.Stats().FlapSuppressed > before {
+					h.settle(0, 0)
+				} else {
+					h.settle(1, 1)
+				}
+			}
+		}
+	}
+	rows := []struct {
+		name string
+		// damped rows run the health tick loop on real time with a damper
+		// that suppresses the second flip inside one half-life; the other
+		// rows own the tracker's clock.
+		damped bool
+		setup  func(h *transitionHarness)
+		drive  func(h *transitionHarness)
+		want   want
+	}{
+		{
+			name:  "data-path device error",
+			drive: func(h *transitionHarness) { h.g.NoteDeviceError(1, errors.New("injected")) },
+			want:  want{healthy: [2]bool{false, true}, epochs: 1, waits: 1, rewarms: 1},
+		},
+		{
+			name:  "cluster Down",
+			drive: down(0),
+			want:  want{healthy: [2]bool{false, true}, epochs: 1, waits: 1, rewarms: 1},
+		},
+		{
+			name:  "cluster mass Down is one batch",
+			drive: down(0, 1),
+			want:  want{healthy: [2]bool{false, false}, epochs: 2, waits: 1, rewarms: 1},
+		},
+		{
+			name:  "cluster Up",
+			setup: then(down(0)),
+			drive: func(h *transitionHarness) { h.m.ReportSuccess(0, time.Millisecond) },
+			want: want{healthy: [2]bool{true, true}, limiterReset: [2]bool{true, false},
+				waits: 1, rewarms: 1},
+		},
+		{
+			name:   "damper-held Up",
+			damped: true,
+			setup:  then(down(0)),
+			drive:  (*transitionHarness).held,
+			want:   want{healthy: [2]bool{false, true}},
+		},
+		{
+			name:   "damper release",
+			damped: true,
+			setup:  then(down(0), (*transitionHarness).held),
+			drive: func(h *transitionHarness) {
+				h.waitFor("damper release", func() bool { return h.rt.HealthyDevices()[0] })
+			},
+			want: want{healthy: [2]bool{true, true}, limiterReset: [2]bool{true, false},
+				waits: 1, rewarms: 1},
+		},
+		{
+			name:  "staggered mass Up",
+			setup: then(down(0, 1)),
+			drive: func(h *transitionHarness) {
+				h.m.MarkUpBatch([]int{0, 1})
+				h.waitFor("first reinstatement", func() bool { return h.rt.HealthyDevices()[0] })
+				if h.rt.HealthyDevices()[1] {
+					h.t.Fatal("second device rejoined without its stagger delay")
+				}
+				h.waitFor("staggered reinstatement", func() bool { return h.rt.HealthyDevices()[1] })
+				if n := h.g.Stats().StaggeredReintegrations; n != 1 {
+					h.t.Fatalf("StaggeredReintegrations = %d, want 1", n)
+				}
+			},
+			want: want{healthy: [2]bool{true, true}, limiterReset: [2]bool{true, true},
+				waits: 2, rewarms: 2},
+		},
+		{
+			// A restart takes the device out for reconfiguration and brings
+			// it back: one funnel call each way.
+			name: "restart",
+			setup: func(h *transitionHarness) {
+				h.m.ReportHeartbeat(0, time.Millisecond, 1) // learn the incarnation
+			},
+			drive: func(h *transitionHarness) {
+				h.m.ReportHeartbeat(0, time.Millisecond, 2)
+				h.waitFor("restart handled", func() bool {
+					return h.g.Stats().Restarts == 1 && h.rt.HealthyDevices()[0]
+				})
+			},
+			want: want{healthy: [2]bool{true, true}, epochs: 1, limiterReset: [2]bool{true, false},
+				waits: 2, rewarms: 2},
+		},
+		{
+			name:  "quarantine",
+			drive: quarantine,
+			want: want{healthy: [2]bool{true, true}, quarantined: [2]bool{true, false},
+				epochs: 1, waits: 1, rewarms: 1},
+		},
+		{
+			name:  "reintegration start",
+			setup: then(quarantine),
+			drive: func(h *transitionHarness) { h.window(false) },
+			want:  want{healthy: [2]bool{true, true}, waits: 1, rewarms: 1},
+		},
+		{
+			name:  "ramp completion",
+			setup: then(quarantine, func(h *transitionHarness) { h.window(false) }),
+			drive: func(h *transitionHarness) { h.window(false) },
+			want: want{healthy: [2]bool{true, true}, limiterReset: [2]bool{true, false},
+				waits: 1, rewarms: 1},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			g, rt, sched, m := resetGateway(t)
+			defer m.Close()
+			g.AttachCluster(m)
+			opts := serve.HealthOptions{
+				Tracker: health.Options{
+					Window:           50 * time.Millisecond,
+					MinSamples:       2,
+					FailureRate:      0.5,
+					GrayWindows:      1,
+					CleanWindows:     1,
+					ReintegrateAfter: 50 * time.Millisecond,
+					RampWeights:      []float64{0.5},
+				},
+				ProbeEvery: -1,
+				TickEvery:  time.Hour,
+			}
+			if row.damped {
+				opts.TickEvery = 10 * time.Millisecond
+				opts.Damper = health.DamperOptions{Penalty: 1000, SuppressThreshold: 1500,
+					HalfLife: 300 * time.Millisecond, HoldDown: time.Millisecond}
+			}
+			tr := g.AttachHealth(opts)
+			defer g.Close(time.Second)
+			h := &transitionHarness{t: t, g: g, rt: rt, m: m, tr: tr, now: time.Unix(0, 0)}
+			if !row.damped {
+				tr.Tick(h.now) // anchor the synthetic window clock
+			}
+			if row.setup != nil {
+				row.setup(h)
+			}
+
+			var start [2]int
+			for i := range start {
+				lim := sched.Limiter(i + 1)
+				start[i] = lim.Snapshot().Limit
+				lim.Cut()
+			}
+			epochs := g.Stats().InvalidationEpochs
+			w := row.want
+			row.drive(h)
+			h.settle(w.waits, w.rewarms)
+
+			if n := g.Stats().InvalidationEpochs - epochs; n != w.epochs {
+				t.Errorf("invalidation epochs bumped %d times, want %d", n, w.epochs)
+			}
+			healthy, quarantined := rt.HealthyDevices(), rt.QuarantinedDevices()
+			for i := 0; i < 2; i++ {
+				if healthy[i] != w.healthy[i] || quarantined[i] != w.quarantined[i] {
+					t.Errorf("device %d: healthy=%v quarantined=%v, want %v/%v",
+						i+1, healthy[i], quarantined[i], w.healthy[i], w.quarantined[i])
+				}
+				in := w.healthy[i] && !w.quarantined[i]
+				if c, p, a := h.inPlacement(i + 1); c != in || p != in || a != in {
+					t.Errorf("device %d eligible in constraint=%v placement=%v alternate=%v, want %v",
+						i+1, c, p, a, in)
+				}
+				if reset := sched.Limiter(i+1).Snapshot().Limit == start[i]; reset != w.limiterReset[i] {
+					t.Errorf("device %d limiter reset = %v, want %v", i+1, reset, w.limiterReset[i])
+				}
+			}
+		})
 	}
 }

@@ -99,6 +99,10 @@ type Gateway struct {
 	staggerTimers []*time.Timer
 	rewarmSem     chan struct{}
 	rewarmWG      sync.WaitGroup
+	// waitResets and rewarms count wait-estimate resets and requested
+	// rewarms: the per-transition cost the eligibility funnel (cluster.go)
+	// is held to. Guarded by mu.
+	waitResets, rewarms uint64
 
 	stats Stats
 
@@ -315,6 +319,7 @@ func (g *Gateway) AttachWatchdog(w *watchdog.Watchdog) {
 func (g *Gateway) ResetWaitEstimates() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.waitResets++
 	for c := range g.emaBatchSec {
 		g.emaBatchSec[c] = 0
 	}
@@ -369,7 +374,7 @@ func (g *Gateway) Stats() Stats {
 		s.ClusterUp, s.ClusterSuspect, s.ClusterDown = uint64(up), uint64(suspect), uint64(down)
 	} else {
 		// No detector attached: derive a coarse view from the runtime's
-		// device-health mask (data-path failures still demote devices).
+		// device records (data-path failures still demote devices).
 		for _, h := range g.rt.HealthyDevices() {
 			if h {
 				s.ClusterUp++

@@ -114,11 +114,12 @@ type Options struct {
 	OnDeviceError func(device int, err error)
 	// OnRestart, when set, is called from the cluster event loop when a
 	// device's incarnation changes (a silent restart was detected), after the
-	// gateway has fenced the old incarnation and reset the device's adaptive
-	// state, and before the device is reinstated. The gateway command wires
-	// it to capability re-negotiation: re-probing the link monitor and
-	// refreshing the runtime's link state, because the restarted process may
-	// have different performance than the one the estimates were learned on.
+	// gateway has fenced the old incarnation and taken the device out of
+	// placement, and before it is reinstated with its adaptive state reset.
+	// The gateway command wires it to capability re-negotiation: re-probing
+	// the link monitor and refreshing the runtime's link state, because the
+	// restarted process may have different performance than the one the
+	// estimates were learned on.
 	OnRestart func(device int, incarnation uint64)
 	// MaxRung is the deepest degradation-ladder rung workers may descend to
 	// when the remaining deadline budget is below the strategy's observed
@@ -147,7 +148,7 @@ type Options struct {
 	// (default 2). A mass recovery used to fire one synchronous re-resolve
 	// per event; now rewarms are asynchronous, jittered, and at most this
 	// many run at once — excess requests are dropped, because any rewarm that
-	// runs sees the current health mask.
+	// runs sees the current device records.
 	RewarmConcurrency int
 	// ReintegrationStagger spaces mass reinstatements: when one cluster batch
 	// reinstates n devices, device i rejoins after i*stagger so rewarms,
@@ -244,7 +245,7 @@ type Stats struct {
 	Redials       uint64
 	// ClusterUp / ClusterSuspect / ClusterDown are the failure detector's
 	// member counts at snapshot time (from the attached cluster.Manager, or
-	// derived from the runtime's device-health mask when none is attached).
+	// derived from the runtime's device records when none is attached).
 	ClusterUp      uint64
 	ClusterSuspect uint64
 	ClusterDown    uint64

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"murmuration/internal/cluster"
+	"murmuration/internal/runtime"
 )
 
 // Recovery-storm smoothing: the serving half of the correlated-failure
@@ -103,18 +104,20 @@ func (g *Gateway) stormRelease() {
 	}
 }
 
-// rewarmAsync schedules one jittered strategy rewarm, capped at
+// rewarmAsync schedules one jittered re-resolve of the strategy for the
+// gateway's global SLO, priming the cache after a topology change, capped at
 // RewarmConcurrency in flight. A refused request is dropped, not queued:
-// any rewarm that runs resolves under the health mask current at that
+// any rewarm that runs resolves under the device records current at that
 // moment, so a rewarm already in flight (or about to run) covers the
-// refused one's work. The synchronous rewarm() remains for paths that need
-// the cache warm before they return (restart handling).
+// refused one's work. Resolve errors are deliberately ignored — the next
+// request resolves (and surfaces) them.
 func (g *Gateway) rewarmAsync() {
 	g.mu.Lock()
 	if g.closing {
 		g.mu.Unlock()
 		return
 	}
+	g.rewarms++
 	// Add under mu, ordered before Close's Wait: Close sets closing first,
 	// so no Add can race past a Wait that already started.
 	g.rewarmWG.Add(1)
@@ -129,16 +132,10 @@ func (g *Gateway) rewarmAsync() {
 		defer g.rewarmWG.Done()
 		defer func() { <-g.rewarmSem }()
 		time.Sleep(time.Duration(rand.Int63n(int64(rewarmJitter))))
-		g.rewarm()
+		if slo := g.rt.SLO(); slo.Value > 0 {
+			g.rt.ResolveFor(slo)
+		}
 	}()
-}
-
-// reinstate returns a recovered device to service: health mask up, adaptive
-// state (AIMD limit, panic streak) reset — the old values were learned
-// against the incarnation that failed.
-func (g *Gateway) reinstate(member int) {
-	g.rt.SetDeviceHealth(member, true)
-	g.rt.Scheduler.ResetDevice(member + 1)
 }
 
 // staggerReinstate schedules a deferred reinstatement delay from now. The
@@ -161,9 +158,7 @@ func (g *Gateway) staggerReinstate(member int, delay time.Duration) {
 		if m != nil && m.StateOf(member) != cluster.Up {
 			return
 		}
-		g.reinstate(member)
-		g.ResetWaitEstimates()
-		g.rewarmAsync()
+		g.deviceIn(runtime.OutDown, member)
 	})
 	g.staggerTimers = append(g.staggerTimers, t)
 	g.mu.Unlock()

@@ -30,7 +30,7 @@ const (
 //	                f64 sloValue | tensor.Encode(image)
 //	infer response: u8 batchSize | u8 cacheHit | u64 queueWaitµs
 //	                u64 execµs | u64 decideµs | tensor.Encode(logits)
-//	stats response: u8 version | 54 × u64 (see encodeStats)
+//	stats response: u8 version | 63 × u64 (statsFieldCount; see encodeStats)
 const inferHeaderLen = 1 + 8
 
 // statsWireVersion is the leading byte of the stats frame, bumped whenever
@@ -376,41 +376,4 @@ func IsOverloaded(err error) bool {
 	}
 	return errors.Is(err, ErrOverloaded) || errors.Is(err, rpcx.ErrOverloaded) ||
 		strings.Contains(err.Error(), "overloaded")
-}
-
-// IsStalled reports whether err (local or remote) is a call aborted by the
-// rpcx progress watchdog — a frame transfer that stopped advancing, the
-// signature of a half-open link. The connection was poisoned and will be
-// re-dialed; the health layer scores stalls as link-gray evidence.
-func IsStalled(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, rpcx.ErrStalled) ||
-		strings.Contains(err.Error(), "stalled")
-}
-
-// IsRetryBudget reports whether err (local or remote) is a speculative
-// attempt — a retry, failover, or hedge — refused by the shared retry
-// budget. Budget exhaustion is storm backpressure, not a fault: the refusal
-// rides the shed/overload ledger, demotes no device, and clears as soon as
-// primary traffic refills the bucket.
-func IsRetryBudget(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, rpcx.ErrRetryBudget) ||
-		strings.Contains(err.Error(), "retry budget depleted")
-}
-
-// IsFenced reports whether err (local or remote) is a batch failed because a
-// tile response came from a dead incarnation of a device (the daemon
-// restarted mid-flight). The stale response was dropped, never delivered;
-// the retry path re-dials the live incarnation.
-func IsFenced(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, runtime.ErrFenced) ||
-		strings.Contains(err.Error(), "fenced")
 }
