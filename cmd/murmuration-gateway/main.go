@@ -57,7 +57,7 @@ func main() {
 	hidden := flag.Int("hidden", 64, "policy LSTM width (must match checkpoint)")
 	workers := flag.Int("workers", 2, "concurrent batch executors")
 	maxBatch := flag.Int("max-batch", 8, "max requests coalesced into one inference")
-	linger := flag.Duration("linger", 2*time.Millisecond, "max wait for a batch to fill")
+	linger := flag.Duration("linger", 2*time.Millisecond, "max wait for a batch to fill while every other worker is busy (0 = default 2ms, negative = never linger)")
 	queueDepth := flag.Int("queue-depth", 64, "per-class queue bound; excess is shed")
 	grace := flag.Duration("grace", 10*time.Second, "drain window on shutdown")
 	remoteTimeout := flag.Duration("remote-timeout", 30*time.Second, "per-call deadline on device RPCs (0 = none; finite by default so a stalled device cannot wedge workers or shutdown)")

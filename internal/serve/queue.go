@@ -42,6 +42,11 @@ type Gateway struct {
 	cond    *sync.Cond
 	queues  [numClasses][]*request
 	closing bool
+	// idle counts workers waiting for a head request because every queue
+	// was empty, plus workers that have not taken their first head yet. A
+	// worker lingers to fill a batch only while no other worker is idle
+	// (nextBatch).
+	idle int
 
 	// emaBatchSec is a per-class exponential moving average of
 	// batched-inference duration, feeding the admission-time queue-wait
@@ -112,6 +117,7 @@ type Gateway struct {
 // New creates a gateway over a runtime and starts its worker pool.
 func New(rt *runtime.Runtime, opts Options) *Gateway {
 	g := &Gateway{rt: rt, opts: opts.withDefaults()}
+	g.idle = g.opts.Workers
 	g.ladder = runtime.NewLadder(g.opts.MaxRung, g.opts.LadderHysteresis)
 	g.rewarmSem = make(chan struct{}, g.opts.RewarmConcurrency)
 	g.cond = sync.NewCond(&g.mu)

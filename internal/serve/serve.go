@@ -8,10 +8,12 @@
 // estimated queue wait already exceeds its budget is shed immediately rather
 // than admitted and missed. A worker pool drains the queues in strict class
 // priority, coalescing compatible requests — same resolved strategy key from
-// the StrategyCache — into one batched Scheduler inference (up to MaxBatch,
-// waiting at most MaxLinger to fill a batch). Everything observable is
-// counted and exposed via Stats() so experiments and benchmarks can assert
-// on admitted / served / shed / deadline-missed totals.
+// the StrategyCache — into one batched Scheduler inference (up to MaxBatch).
+// Batch formation is work-conserving: a worker waits up to MaxLinger for a
+// batch to fill only while every other worker is busy, so a request that
+// finds a spare executor runs at once. Everything observable is counted and
+// exposed via Stats() so experiments and benchmarks can assert on admitted /
+// served / shed / deadline-missed totals.
 package serve
 
 import (
@@ -94,16 +96,20 @@ var (
 // trading quality for headroom until the pressure clears.
 const BrownoutRung = 1
 
-// Options configures a Gateway. Zero values select the defaults.
+// Options configures a Gateway. Zero values select the defaults, and so do
+// negative ones unless a field's comment gives a negative value its own
+// meaning (MaxLinger, MaxRung, CorrelatedLossK).
 type Options struct {
 	// Workers is the number of parallel batch executors (default 2).
 	Workers int
 	// MaxBatch caps how many compatible requests coalesce into one batched
-	// inference (default 8, max 255 — the wire encodes it in one byte).
+	// inference (default 8; values above 255 clamp to 255 — the wire
+	// encodes it in one byte).
 	MaxBatch int
 	// MaxLinger is how long a worker waits to fill a batch after the first
-	// request is taken (default 2ms). Lingering never extends past a
-	// latency-SLO head's feasible slack.
+	// request is taken: 0 selects the 2ms default, a negative value disables
+	// lingering. A worker lingers only while every other worker is busy, and
+	// never past a latency-SLO head's feasible slack.
 	MaxLinger time.Duration
 	// QueueDepth bounds each class queue (default 64).
 	QueueDepth int
@@ -167,7 +173,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch > 255 {
 		o.MaxBatch = 255
 	}
-	if o.MaxLinger <= 0 {
+	if o.MaxLinger == 0 {
 		o.MaxLinger = 2 * time.Millisecond
 	}
 	if o.QueueDepth <= 0 {

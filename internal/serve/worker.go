@@ -15,8 +15,10 @@ import (
 // worker is one executor loop: form a batch, run it, repeat until the
 // gateway is closed and drained.
 func (g *Gateway) worker() {
-	for {
-		batch := g.nextBatch()
+	// New counted this worker idle before it ran; it stays counted until it
+	// takes its first head.
+	for counted := true; ; counted = false {
+		batch := g.nextBatch(counted)
 		if batch == nil {
 			return
 		}
@@ -53,9 +55,15 @@ func (g *Gateway) executeProtected(batch []*request) {
 // nextBatch blocks until work is available and returns a batch of
 // compatible requests (same class and strategy key), or nil when the
 // gateway is closed and fully drained. After taking a head request it
-// lingers up to MaxLinger for the batch to fill, but never past the point
-// where a latency-SLO head could still make its deadline.
-func (g *Gateway) nextBatch() []*request {
+// lingers for the batch to fill only while no other worker is idle: a spare
+// executor means waiting would add latency without buying throughput, so
+// the batch goes at once. The linger is bounded by MaxLinger (none when
+// negative), by MaxBatch, and never runs past the point where a latency-SLO
+// head could still make its deadline. The gate is re-read on every wake-up:
+// when another worker turns idle mid-linger, the linger ends at the next
+// arrival or the timer. counted reports whether this worker is already
+// counted in g.idle.
+func (g *Gateway) nextBatch(counted bool) []*request {
 	g.mu.Lock()
 	var head *request
 	for {
@@ -67,7 +75,14 @@ func (g *Gateway) nextBatch() []*request {
 			g.mu.Unlock()
 			return nil
 		}
+		if !counted {
+			g.idle++
+			counted = true
+		}
 		g.cond.Wait()
+	}
+	if counted {
+		g.idle--
 	}
 	batch := append([]*request{head},
 		g.collectCompatible(head, g.opts.MaxBatch-1, time.Now())...)
@@ -81,12 +96,12 @@ func (g *Gateway) nextBatch() []*request {
 				lingerEnd = slackEnd
 			}
 		}
-		for len(batch) < g.opts.MaxBatch && !g.closing {
+		for len(batch) < g.opts.MaxBatch && !g.closing && g.idle == 0 {
 			now := time.Now()
 			if !now.Before(lingerEnd) {
 				break
 			}
-			timer := time.AfterFunc(lingerEnd.Sub(now), g.cond.Broadcast)
+			timer := time.AfterFunc(lingerEnd.Sub(now), g.wake)
 			g.cond.Wait()
 			timer.Stop()
 			batch = append(batch,
@@ -95,6 +110,16 @@ func (g *Gateway) nextBatch() []*request {
 	}
 	g.mu.Unlock()
 	return batch
+}
+
+// wake is the linger timer's callback. It broadcasts under g.mu: a worker
+// joins the cond's wait list only while it holds g.mu, so an unlocked
+// broadcast that fires before the worker reaches Wait would be lost, and the
+// worker would sleep until the next arrival — forever, for a lone request.
+func (g *Gateway) wake() {
+	g.mu.Lock()
+	g.cond.Broadcast()
+	g.mu.Unlock()
 }
 
 // batchDeadline returns the tightest deadline across the batch (zero when
