@@ -1,6 +1,7 @@
 package supernet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -340,6 +341,26 @@ func BenchmarkTinyForwardMaxConfig(b *testing.B) {
 		if _, _, err := s.Forward(x, cfg, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTinyExecMaxConfig is the serving twin of
+// BenchmarkTinyForwardMaxConfig: the Exec chain (stem, tiled blocks, head)
+// the scheduler runs for an all-local max-config decision.
+func BenchmarkTinyExecMaxConfig(b *testing.B) {
+	for _, n := range []int{1, 8} {
+		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {
+			s := New(TinyArch(4), 1)
+			x := randInput(rand.New(rand.NewSource(1)), n, 3, 32, 32)
+			cfg := s.Arch.MaxConfig()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := execChain(s, cfg, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -116,8 +116,11 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw int, o ConvOpts) *Tensor {
 
 // Conv2D computes a standard convolution of x (N,C,H,W) with weight
 // (outC, C, kh, kw) and optional bias (outC), returning (N,outC,outH,outW).
-// 1×1 stride-1 convolutions take a direct matmul fast path (no im2col copy);
-// they dominate inverted-bottleneck networks.
+// 1×1 stride-1 convolutions take a direct pointwise path (no im2col copy, no
+// transpose back to NCHW); they dominate inverted-bottleneck networks, and
+// that path is the serving kernel for every expand, project and head conv
+// (supernet's Exec* methods). The training ops in nn keep the im2col route
+// because their backward pass reuses the column matrix.
 func Conv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outC, wc, kh, kw := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
@@ -261,19 +264,22 @@ func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 			ker := wd[ch*kh*kw : (ch+1)*kh*kw]
 			dst := od[r*oh*ow : (r+1)*oh*ow]
 			for oy := 0; oy < oh; oy++ {
+				iy0 := oy*s - p
+				kyLo, kyHi := tapRange(iy0, kh, h)
 				for ox := 0; ox < ow; ox++ {
+					ix0 := ox*s - p
+					kxLo, kxHi := tapRange(ix0, kw, w)
 					acc := bv
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*s - p + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*s - p + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							acc += in[iy*w+ix] * ker[ky*kw+kx]
+					if kxLo == kxHi {
+						// The window lies wholly in the padding.
+						dst[oy*ow+ox] = acc
+						continue
+					}
+					for ky := kyLo; ky < kyHi; ky++ {
+						row := in[(iy0+ky)*w+ix0+kxLo : (iy0+ky)*w+ix0+kxHi]
+						kr := ker[ky*kw+kxLo : ky*kw+kxHi]
+						for i, v := range row {
+							acc += v * kr[i]
 						}
 					}
 					dst[oy*ow+ox] = acc
@@ -282,6 +288,23 @@ func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 		}
 	})
 	return out
+}
+
+// tapRange returns the kernel taps [lo, hi) of a k-wide window starting at
+// input coordinate i0 that land inside [0, n); taps outside read zero padding
+// and are skipped. It returns lo == hi == 0 when no tap is in range.
+func tapRange(i0, k, n int) (lo, hi int) {
+	lo, hi = 0, k
+	if i0 < 0 {
+		lo = -i0
+	}
+	if i0+k > n {
+		hi = n - i0
+	}
+	if hi <= lo {
+		return 0, 0
+	}
+	return lo, hi
 }
 
 // AvgPoolGlobal reduces (N,C,H,W) to (N,C) by averaging each channel plane.

@@ -14,21 +14,10 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", k, k2))
 	}
 	c := New(m, n)
-	MatMulInto(c, a, b)
-	return c
-}
-
-// MatMulInto computes C = A·B into an existing m×n tensor, overwriting it.
-func MatMulInto(c, a, b *Tensor) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
 	ad, bd, cd := a.Data, b.Data, c.Data
 	parallelFor(m, func(rs, re int) {
 		for i := rs; i < re; i++ {
 			ci := cd[i*n : (i+1)*n]
-			for x := range ci {
-				ci[x] = 0
-			}
 			ai := ad[i*k : (i+1)*k]
 			// Loop order i-k-j streams B rows and keeps the inner loop
 			// vectorizable.
@@ -44,6 +33,7 @@ func MatMulInto(c, a, b *Tensor) {
 			}
 		}
 	})
+	return c
 }
 
 // MatMulTransB computes C = A·Bᵀ for A (m×k) and B (n×k), returning m×n.

@@ -228,24 +228,56 @@ func TestConvOutSize(t *testing.T) {
 	}
 }
 
-func TestDepthwiseConvMatchesGrouped(t *testing.T) {
-	// Depthwise conv must equal a full conv whose weight is block-diagonal.
-	rng := rand.New(rand.NewSource(3))
-	n, c, h, w, k := 2, 3, 7, 7, 3
-	x := randTensor(rng, n, c, h, w)
-	dwW := randTensor(rng, c, 1, k, k)
-	bias := randTensor(rng, c)
-	got := DepthwiseConv2D(x, dwW, bias, ConvOpts{Stride: 1, Padding: 1})
-
+// blockDiag expands a depthwise weight (C,1,k,k) into the equivalent full
+// conv weight (C,C,k,k), zero off the diagonal.
+func blockDiag(dwW *Tensor) *Tensor {
+	c, k := dwW.Shape[0], dwW.Shape[2]
 	fullW := New(c, c, k, k)
 	for ch := 0; ch < c; ch++ {
-		for i := 0; i < k*k; i++ {
-			fullW.Data[(ch*c+ch)*k*k+i] = dwW.Data[ch*k*k+i]
+		copy(fullW.Data[(ch*c+ch)*k*k:(ch*c+ch+1)*k*k], dwW.Data[ch*k*k:(ch+1)*k*k])
+	}
+	return fullW
+}
+
+// TestDepthwiseConvMatchesGrouped checks DepthwiseConv2D against a full conv
+// whose weight is block-diagonal, at every border case of its per-output tap
+// ranges: kernels 3/5/7, strides 1/2, batch > 1, with and without bias,
+// tiles smaller than the kernel and non-square maps, plus padding as wide as
+// the kernel (windows wholly in the padding). The grouped reference visits
+// the in-range taps in the same order and only adds exact zeros for the
+// other channels, so the outputs must be equal, not merely close.
+func TestDepthwiseConvMatchesGrouped(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type tc struct{ n, c, h, w, k, s, p int }
+	cases := []tc{{2, 3, 7, 7, 3, 1, 1}, {2, 2, 2, 2, 3, 1, 3}, {1, 3, 5, 4, 5, 2, 5}}
+	for _, k := range []int{3, 5, 7} {
+		for _, s := range []int{1, 2} {
+			for _, hw := range [][2]int{{1, 1}, {2, 3}, {9, 7}, {8, 8}} {
+				cases = append(cases, tc{3, 2, hw[0], hw[1], k, s, k / 2})
+			}
 		}
 	}
-	want := Conv2DNaive(x, fullW, bias, ConvOpts{Stride: 1, Padding: 1})
-	if d := maxDiff(got, want); d > 1e-4 {
-		t.Fatalf("depthwise vs block-diag full conv diff %v", d)
+	for _, cs := range cases {
+		for _, withBias := range []bool{false, true} {
+			x := randTensor(rng, cs.n, cs.c, cs.h, cs.w)
+			dwW := randTensor(rng, cs.c, 1, cs.k, cs.k)
+			var bias *Tensor
+			if withBias {
+				bias = randTensor(rng, cs.c)
+			}
+			o := ConvOpts{Stride: cs.s, Padding: cs.p}
+			got := DepthwiseConv2D(x, dwW, bias, o)
+			want := Conv2DNaive(x, blockDiag(dwW), bias, o)
+			if !got.SameShape(want) {
+				t.Fatalf("%+v bias=%v: shape %v vs %v", cs, withBias, got.Shape, want.Shape)
+			}
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%+v bias=%v: element %d = %v, want %v",
+						cs, withBias, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 	}
 }
 
